@@ -11,11 +11,13 @@ the campaign executor's program-major suite fast path.  The numbers
 land machine-readable in ``results/BENCH_sim.json``.
 """
 
+import os
 import time
 from dataclasses import asdict
 
 from repro.designspace import DesignSpace, sample_configurations
 from repro.exploration import format_table, scale_banner
+from repro.parallel import available_cpus
 from repro.runtime import CampaignRunner, IntervalBackend
 from repro.sim import IntervalSimulator, MonteCarloSimulator
 from repro.sim.pipeline import PipelineSimulator
@@ -28,7 +30,13 @@ CAMPAIGN_CONFIGS = 60
 CAMPAIGN_CHUNK = 16
 
 
-def _campaign_cells_per_second(backend, suite, configs, root, n_jobs):
+def _campaign_rates(backend, suite, configs, root, n_jobs):
+    """(cells/second, configs/second) of one fresh campaign.
+
+    A cell is one (program, chunk) checkpoint unit; configs/s counts
+    (program, configuration) evaluations, the unit every other rate in
+    this bench uses.
+    """
     runner = CampaignRunner(
         backend, root, chunk_size=CAMPAIGN_CHUNK, n_jobs=n_jobs, seed=5
     )
@@ -36,7 +44,8 @@ def _campaign_cells_per_second(backend, suite, configs, root, n_jobs):
     result = runner.run(suite, configs)
     elapsed = time.perf_counter() - start
     assert result.complete
-    return result.total_cells / elapsed
+    evaluations = len(result.programs) * len(result.configs)
+    return result.total_cells / elapsed, evaluations / elapsed
 
 
 def test_simulator_throughput(benchmark, record_artifact, record_json,
@@ -87,13 +96,13 @@ def test_simulator_throughput(benchmark, record_artifact, record_json,
     event_speedup = tick_seconds / event_seconds
     pipeline_rate = 1.0 / event_seconds
 
-    # Campaign executor throughput (cells/second), serial and 2-way.
+    # Campaign executor throughput, serial and 2-way.
     campaign_configs = configs[:CAMPAIGN_CONFIGS]
     backend = IntervalBackend(interval)
-    serial_cells = _campaign_cells_per_second(
+    serial_cells, serial_configs = _campaign_rates(
         backend, suite, campaign_configs, tmp_path / "serial", n_jobs=1
     )
-    parallel_cells = _campaign_cells_per_second(
+    parallel_cells, parallel_configs = _campaign_rates(
         backend, suite, campaign_configs, tmp_path / "par", n_jobs=2
     )
 
@@ -118,6 +127,8 @@ def test_simulator_throughput(benchmark, record_artifact, record_json,
         + f"\nevent engine speedup over tick: {event_speedup:.2f}x"
         + f"\ncampaign cells/second: serial {serial_cells:,.1f}, "
         + f"2 jobs {parallel_cells:,.1f}"
+        + f"\ncampaign configs/second: serial {serial_configs:,.0f}, "
+        + f"2 jobs {parallel_configs:,.0f}"
     )
     record_artifact("simulator_throughput", text)
     record_json("BENCH_sim", {
@@ -133,6 +144,14 @@ def test_simulator_throughput(benchmark, record_artifact, record_json,
         "campaign_cells_per_second": {
             "serial": serial_cells,
             "jobs2": parallel_cells,
+        },
+        "campaign_configs_per_second": {
+            "serial": serial_configs,
+            "jobs2": parallel_configs,
+        },
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "affinity": available_cpus(),
         },
         "trace_length": TRACE_LENGTH,
         "batch": BATCH,

@@ -14,10 +14,19 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-__all__ = ["resolve_jobs"]
+__all__ = ["available_cpus", "resolve_jobs"]
 
 #: Environment variable consulted when ``n_jobs`` is ``None``.
 JOBS_ENV = "REPRO_JOBS"
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS
+    reports one (a container or ``taskset`` may allow fewer than the
+    machine has), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
 def resolve_jobs(n_jobs: Optional[int], default: int = 1) -> int:
@@ -25,7 +34,8 @@ def resolve_jobs(n_jobs: Optional[int], default: int = 1) -> int:
 
     ``None`` defers to the ``REPRO_JOBS`` environment variable, then to
     ``default`` (serial unless the caller says otherwise); ``-1`` means
-    one worker per CPU; any other positive integer is taken literally.
+    one worker per available CPU (:func:`available_cpus`); any other
+    positive integer is taken literally.
     ``REPRO_JOBS`` accepts the same dialect (``-1`` or a positive
     integer).
 
@@ -44,7 +54,7 @@ def resolve_jobs(n_jobs: Optional[int], default: int = 1) -> int:
                 f"{JOBS_ENV} must be an integer or -1, got {env!r}"
             ) from None
     if n_jobs == -1:
-        return max(1, os.cpu_count() or 1)
+        return available_cpus()
     if n_jobs < 1:
         raise ValueError(
             f"n_jobs must be a positive integer or -1, got {n_jobs}"

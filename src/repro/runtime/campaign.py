@@ -3,19 +3,24 @@
 A campaign is the cross product of programs and a shared configuration
 sample — exactly the shape of the paper's offline builds (T = 512
 simulations for each of 26 training programs).  The runner splits every
-program's configurations into fixed chunks, simulates each (program,
-chunk) *cell* behind the retry/breaker machinery, writes the cell's
-metric arrays to its own checksummed ``.npz`` and journals the
-completion.  Interrupt the process at any point and a rerun resumes
-from the journal: verified cells are loaded from disk, unfinished ones
-are re-simulated, and the assembled matrices are bit-identical to an
-uninterrupted run.
+program's configurations into fixed chunks; each (program, chunk)
+*cell* is the unit of checkpointing: its metric arrays go to their own
+checksummed ``.npz`` and the completion is journalled.  Interrupt the
+process at any point and a rerun resumes from the journal: verified
+cells are loaded from disk, unfinished ones are re-simulated, and the
+assembled matrices are bit-identical to an uninterrupted run.
 
-Backends advertising the program-major ``simulate_suite`` fast path
-(see :func:`repro.runtime.backend.supports_suite`) are called once per
-chunk across *all* programs instead of once per cell; both the serial
-loop and the process pool exploit it automatically and journal exactly
-the same cells with exactly the same arrays as the per-cell path.
+The unit of *execution* is the run slice (:func:`plan_slices`): a run
+of consecutive chunks that every listed program still needs, about
+:data:`SLICE_CONFIGS` configurations wide.  The serial loop and the
+process pool share the planner.  Backends advertising the program-major
+``simulate_suite`` fast path (see
+:func:`repro.runtime.backend.supports_suite`) are called once per slice
+across all its programs, and the per-cell batches are cut from the
+slice's arrays; other backends get one retried ``simulate_batch`` per
+cell.  Either way each slice's journal records are group-committed
+with one ``fsync``, and every path journals exactly the same cells
+with exactly the same arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,124 +78,176 @@ if TYPE_CHECKING:  # lazy import keeps runtime free of exploration
 _MANIFEST_VERSION = 1
 _METRIC_FIELDS = ("cycles", "energy", "ed", "edd")
 
+#: Configurations one run slice covers, rounded to whole chunks (at
+#: least one).  A slice costs one suite call and one journal fsync, so
+#: wider slices amortise more; past about 512 the speed-up flattens
+#: while the peak memory of the slice's arrays keeps growing.
+SLICE_CONFIGS = 512
+
 _log = get_logger(__name__)
 
 
-def _simulate_cell_worker(task):
-    """Simulate one campaign cell with retries (runs in a worker process).
+def _retried_call(fn, validate, policy, seed, breaker, sleep, clock,
+                  name, **attrs):
+    """One backend call under the retry policy, traced as ``name``.
 
-    Module-level so it pickles.  Each worker gets its *own copy* of the
-    backend (pickled with the task) and a private circuit breaker, so a
-    stateful backend — e.g. a seeded fault injector — evolves per cell
-    rather than across the whole campaign.  Deterministic backends
-    produce exactly the arrays the serial loop would.
-
-    Telemetry is captured worker-side into a private registry/tracer
-    (the fork-inherited globals would be lost with the process) and
-    shipped back as a picklable dict the parent merges, so aggregate
-    counters are independent of the worker count.
+    ``breaker=None`` gives the call a private breaker (the pool
+    workers' semantics); the serial loop passes its campaign-wide one.
+    The span records the attempts and the outcome, and its duration
+    feeds ``campaign.chunk.seconds``.
 
     Returns:
-        (cell id, BatchResult or None on permanent failure, attempts,
-        failure message or None, telemetry dict).
+        (result or None, attempts, the permanent failure or None).
+
+    Raises:
+        CircuitOpenError: once the shared breaker is open (after the
+            span is recorded).
     """
-    backend, profile, configs, policy, retry_seed, cell, chunk_index = task
     attempts = 0
 
-    def attempt() -> BatchResult:
+    def attempt():
         nonlocal attempts
         attempts += 1
-        return backend.simulate_batch(profile, configs)
+        return fn()
 
-    with scoped_registry() as registry, scoped_tracer() as tracer:
-        batch, error = None, None
-        with tracer.span(
-            "simulate.chunk", program=profile.name, chunk=chunk_index
-        ) as cell_span:
-            try:
-                batch = call_with_retry(
-                    attempt,
-                    policy,
-                    seed=retry_seed,
-                    breaker=CircuitBreaker(),
-                    validate=lambda result: validate_batch(
-                        result, f"for cell {cell}"
+    result, error, outcome = None, None, "ok"
+    with span(name, **attrs) as record:
+        try:
+            result = call_with_retry(
+                attempt,
+                policy,
+                seed=seed,
+                breaker=breaker if breaker is not None else CircuitBreaker(),
+                validate=validate,
+                sleep=sleep,
+                clock=clock,
+            )
+        except CircuitOpenError as failure:
+            error, outcome = failure, "circuit-open"
+        except SimulationError as failure:
+            error, outcome = failure, "failed"
+        if record is not None:
+            record["attrs"]["attempts"] = attempts
+            record["attrs"]["outcome"] = outcome
+    if record is not None:
+        # The span's duration is final only once the block exits.
+        get_registry().histogram("campaign.chunk.seconds").observe(
+            record["dur"]
+        )
+    if outcome == "circuit-open":
+        raise error
+    return result, attempts, error
+
+
+def _cut(batch: BatchResult, start: int, stop: int) -> BatchResult:
+    return BatchResult(
+        **{field: getattr(batch, field)[start:stop] for field in _METRIC_FIELDS}
+    )
+
+
+def _slice_outcomes(
+    backend, work: CampaignSlice, configs: Sequence[Configuration],
+    policy: RetryPolicy, seed: int, breaker=None, sleep=None, clock=None,
+) -> Iterator[Tuple[CampaignCell, Optional[BatchResult], int,
+                    Optional[SimulationError]]]:
+    """Simulate one slice: yield (cell, batch, attempts, failure) per cell.
+
+    ``configs`` is the slice's own range (``configs[work.start:work.stop]``
+    of the campaign).  A suite backend serves the whole slice with one
+    retried ``simulate_suite`` call, traced as ``simulate.suite``; its
+    attempts are credited to the first cell, and validation checks
+    every cut, so one corrupted batch retries the slice.  Other
+    backends get one retried ``simulate_batch`` per cell, traced as
+    ``simulate.chunk``, so fault schedules stay per cell.  A generator,
+    so the serial loop stores each cell before simulating the next.
+    """
+    if supports_suite(backend):
+        rows = {profile.name: row for row, profile in enumerate(work.profiles)}
+
+        def cut(results: List[BatchResult]) -> List[BatchResult]:
+            return [
+                validate_batch(
+                    _cut(
+                        results[rows[cell.profile.name]],
+                        cell.start - work.start,
+                        cell.stop - work.start,
                     ),
+                    f"for cell {cell.cell}",
                 )
-            except SimulationError as failure:
-                error = str(failure)
-            if cell_span is not None:
-                cell_span["attrs"]["attempts"] = attempts
-                cell_span["attrs"]["outcome"] = (
-                    "ok" if error is None else "failed"
-                )
-        registry.histogram("campaign.chunk.seconds").observe(
-            tracer.spans[-1]["dur"]
+                for cell in work.cells
+            ]
+
+        first = work.cells[0].chunk_index
+        batches, attempts, error = _retried_call(
+            lambda: backend.simulate_suite(list(work.profiles), configs),
+            cut, policy,
+            stable_seed("campaign-retry", f"suite:{first}", str(seed)),
+            breaker, sleep, clock, "simulate.suite",
+            chunk=first, chunks=work.cells[-1].chunk_index - first + 1,
+            programs=len(work.profiles),
         )
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "spans": list(tracer.spans),
-        }
-    return cell, batch, attempts, error, telemetry
+        for index, cell in enumerate(work.cells):
+            # Every cell gets its own span whichever path served it; the
+            # attempts live on the slice's ``simulate.suite`` span.
+            with span(
+                "simulate.chunk", program=cell.profile.name,
+                chunk=cell.chunk_index, attempts=0,
+                outcome="ok" if error is None else "failed",
+            ):
+                pass
+            yield (
+                cell,
+                None if batches is None else batches[index],
+                attempts if index == 0 else 0,
+                error,
+            )
+        return
+    for cell in work.cells:
+        cell_configs = configs[cell.start - work.start:cell.stop - work.start]
+        batch, attempts, error = _retried_call(
+            lambda: backend.simulate_batch(cell.profile, cell_configs),
+            lambda result: validate_batch(result, f"for cell {cell.cell}"),
+            policy,
+            stable_seed("campaign-retry", cell.cell, str(seed)),
+            breaker, sleep, clock, "simulate.chunk",
+            program=cell.profile.name, chunk=cell.chunk_index,
+        )
+        yield cell, batch, attempts, error
 
 
-def _simulate_suite_worker(task):
-    """Simulate one chunk's cells in a single program-major call.
+def _simulate_slice_worker(task):
+    """Simulate one run slice in a worker process.
 
-    The suite twin of :func:`_simulate_cell_worker`, used when the
-    backend advertises ``simulate_suite``: every unfinished program at
-    one chunk shares a single backend call, so the backend builds the
-    chunk's configuration columns once instead of once per program.  A
-    retryable failure retries the whole suite call; validation checks
-    every program's batch, so a single corrupted batch discards (and
-    retries) the chunk exactly as the per-cell path would.
+    Module-level so it pickles.  Each task carries its *own copy* of
+    the backend and every call gets a private circuit breaker;
+    deterministic backends produce exactly the arrays the serial loop
+    would.  Telemetry is captured into a private registry/tracer (the
+    fork-inherited globals would be lost with the process) and shipped
+    back as a picklable dict the parent merges, so aggregate counters
+    are independent of the worker count.
 
     Returns:
-        (chunk index, list of BatchResult (one per profile, in task
-        order) or None on permanent failure, attempts, failure message
-        or None, telemetry dict).
+        (one (batch or None, attempts, failure or None) per cell of
+        the slice, telemetry dict).
     """
-    backend, profiles, configs, policy, retry_seed, cell_ids, chunk_index = task
-    attempts = 0
-
-    def attempt() -> List[BatchResult]:
-        nonlocal attempts
-        attempts += 1
-        return backend.simulate_suite(list(profiles), configs)
-
-    def check(results: List[BatchResult]) -> List[BatchResult]:
-        for cell, result in zip(cell_ids, results):
-            validate_batch(result, f"for cell {cell}")
-        return results
-
+    backend, work, configs, policy, seed = task
     with scoped_registry() as registry, scoped_tracer() as tracer:
-        batches, error = None, None
-        with tracer.span(
-            "simulate.suite", chunk=chunk_index, programs=len(profiles)
-        ) as suite_span:
-            try:
-                batches = call_with_retry(
-                    attempt,
-                    policy,
-                    seed=retry_seed,
-                    breaker=CircuitBreaker(),
-                    validate=check,
-                )
-            except SimulationError as failure:
-                error = str(failure)
-            if suite_span is not None:
-                suite_span["attrs"]["attempts"] = attempts
-                suite_span["attrs"]["outcome"] = (
-                    "ok" if error is None else "failed"
-                )
-        registry.histogram("campaign.chunk.seconds").observe(
-            tracer.spans[-1]["dur"]
-        )
+        # Failures travel as plain SimulationErrors: a backend's own
+        # exception type need not survive pickling.
+        outcomes = [
+            (
+                batch, attempts,
+                None if error is None else SimulationError(str(error)),
+            )
+            for _, batch, attempts, error in _slice_outcomes(
+                backend, work, configs, policy, seed
+            )
+        ]
         telemetry = {
             "metrics": registry.snapshot(),
             "spans": list(tracer.spans),
         }
-    return chunk_index, batches, attempts, error, telemetry
+    return outcomes, telemetry
 
 
 @dataclass(frozen=True)
@@ -209,6 +267,66 @@ class CampaignCell:
     chunk_index: int
     start: int
     stop: int
+
+
+@dataclass(frozen=True)
+class CampaignSlice:
+    """A run of consecutive chunks that the same programs still need.
+
+    Attributes:
+        profiles: The slice's programs, in campaign order.
+        cells: Its cells, chunk-major (the order they are journalled).
+        start: First configuration index covered (inclusive).
+        stop: One past the last configuration index (exclusive).
+    """
+
+    profiles: Tuple[WorkloadProfile, ...]
+    cells: Tuple[CampaignCell, ...]
+    start: int
+    stop: int
+
+
+def plan_slices(
+    cells: Sequence[CampaignCell], chunk_size: int
+) -> List[CampaignSlice]:
+    """Group unfinished cells by chunk, then merge chunks into slices.
+
+    Consecutive chunks needed by the same program set merge into one
+    slice of up to ``round(SLICE_CONFIGS / chunk_size)`` chunks (never
+    fewer than one).  A gap (a chunk nobody needs) or a change in the
+    program set starts a new slice, so every slice is a rectangle of
+    programs x configurations — one ``simulate_suite`` call.
+    """
+    per_slice = max(1, round(SLICE_CONFIGS / chunk_size))
+    by_chunk: Dict[int, List[CampaignCell]] = {}
+    for cell in cells:
+        by_chunk.setdefault(cell.chunk_index, []).append(cell)
+
+    def programs(group: List[CampaignCell]) -> List[str]:
+        return [cell.profile.name for cell in group]
+
+    runs: List[List[List[CampaignCell]]] = []
+    for index in sorted(by_chunk):
+        group = by_chunk[index]
+        last = runs[-1] if runs else None
+        if (
+            last is None
+            or len(last) == per_slice
+            or last[-1][0].chunk_index != index - 1
+            or programs(last[-1]) != programs(group)
+        ):
+            runs.append([group])
+        else:
+            last.append(group)
+    return [
+        CampaignSlice(
+            profiles=tuple(cell.profile for cell in run[0]),
+            cells=tuple(cell for group in run for cell in group),
+            start=run[0][0].start,
+            stop=run[-1][0].stop,
+        )
+        for run in runs
+    ]
 
 
 @dataclass(frozen=True)
@@ -339,13 +457,13 @@ class CampaignRunner:
         breaker_threshold: Consecutive cell failures that trip the
             campaign-wide circuit breaker.
         seed: Base seed of the deterministic retry jitter.
-        n_jobs: Worker processes simulating cells concurrently.  1 (the
-            default) runs the serial loop; -1 uses one worker per CPU.
-            The parallel path requires a picklable backend, gives each
-            cell a private circuit breaker (the campaign-wide breaker
-            and the ``sleep``/``clock`` hooks apply to the serial loop
-            only) and assembles matrices bit-identical to a serial run
-            for deterministic backends.
+        n_jobs: Worker processes simulating run slices concurrently.
+            1 (the default) runs the serial loop; -1 uses one worker per
+            CPU.  The parallel path requires a picklable backend, gives
+            each backend call a private circuit breaker (the
+            campaign-wide breaker and the ``sleep``/``clock`` hooks
+            apply to the serial loop only) and assembles matrices
+            bit-identical to a serial run for deterministic backends.
         sleep: Sleep hook shared by backoff delays (injectable for
             tests).
         clock: Monotonic clock hook for the per-call timeout guard.
@@ -378,6 +496,7 @@ class CampaignRunner:
         self._clock = clock
         self.journal = CampaignJournal(self.checkpoint_dir / "journal.jsonl")
 
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -396,8 +515,9 @@ class CampaignRunner:
             configs: The shared configuration sample.
             resume: Reuse a compatible existing checkpoint; ``False``
                 refuses to run over one.
-            max_cells: Stop after simulating this many cells (leaves the
-                rest pending; the test hook for interruption).
+            max_cells: Simulate only the first this-many unfinished
+                cells in campaign order and leave the rest pending (the
+                test hook for interruption).
             fail_fast: Re-raise the first permanent cell failure instead
                 of recording it and moving on.
 
@@ -413,12 +533,6 @@ class CampaignRunner:
         """
         plan = self.plan(profiles, configs, resume)
         programs = plan.programs
-        chunks = list(plan.chunks)
-        cells: List[Tuple[WorkloadProfile, int]] = [
-            (cell.profile, cell.chunk_index) for cell in plan.cells
-        ]
-        completed = plan.completed
-
         values: Dict[Tuple[str, Metric], np.ndarray] = {
             (program, metric): np.full(len(configs), np.nan)
             for program in programs
@@ -434,29 +548,47 @@ class CampaignRunner:
         _log.info(
             "campaign start: %d program(s) x %d configuration(s) = "
             "%d cell(s), %d already journalled, n_jobs=%d",
-            len(programs), len(configs), len(cells), len(completed),
-            self.n_jobs,
-            extra={"event": "campaign.start", "cells": len(cells),
-                   "journalled": len(completed), "n_jobs": self.n_jobs},
+            len(programs), len(configs), len(plan.cells),
+            len(plan.completed), self.n_jobs,
+            extra={"event": "campaign.start", "cells": len(plan.cells),
+                   "journalled": len(plan.completed),
+                   "n_jobs": self.n_jobs},
         )
         try:
             with span(
                 "campaign.run",
                 programs=len(programs),
                 configs=len(configs),
-                cells=len(cells),
+                cells=len(plan.cells),
                 n_jobs=self.n_jobs,
             ):
-                if self.n_jobs > 1:
-                    result = self._run_parallel(
-                        programs, configs, chunks, cells, completed, values,
-                        max_cells, fail_fast,
-                    )
-                else:
-                    result = self._run_serial(
-                        programs, configs, chunks, cells, completed, values,
-                        max_cells, fail_fast,
-                    )
+                resumed = self._restore(plan, values)
+                todo = list(plan.remaining)
+                pending: List[str] = []
+                if max_cells is not None and len(todo) > max_cells:
+                    pending = [cell.cell for cell in todo[max_cells:]]
+                    todo = todo[:max_cells]
+                execute = (
+                    self._run_parallel if self.n_jobs > 1
+                    else self._run_serial
+                )
+                simulated, attempts, failed, stopped = execute(
+                    plan.configs,
+                    plan_slices(todo, self.chunk_size),
+                    values,
+                    fail_fast,
+                )
+            result = CampaignResult(
+                programs=programs,
+                configs=plan.configs,
+                total_cells=len(plan.cells),
+                simulated_cells=simulated,
+                resumed_cells=resumed,
+                failed_cells=tuple(failed),
+                pending_cells=tuple(stopped + pending),
+                attempts=attempts,
+                _values=values,
+            )
         except BaseException as error:
             # SIGTERM (SystemExit), Ctrl-C (KeyboardInterrupt) or a
             # crash: the checkpoint directory must still document what
@@ -510,306 +642,160 @@ class CampaignRunner:
             completed=self._verified_completed_cells(),
         )
 
+
+    def _restore(
+        self, plan: CampaignPlan, values: Dict[Tuple[str, Metric], np.ndarray]
+    ) -> int:
+        """Load every journalled cell into ``values``; returns the count."""
+        for cell in plan.cells:
+            if cell.cell not in plan.completed:
+                continue
+            with span(
+                "resume.chunk", program=cell.profile.name,
+                chunk=cell.chunk_index,
+            ):
+                batch = self.resume_cell(
+                    cell.cell, plan.completed[cell.cell],
+                    cell.stop - cell.start,
+                )
+            self.fill_values(
+                values, cell.profile.name, cell.start, cell.stop, batch
+            )
+        return len(plan.completed)
+
     def _run_serial(
         self,
-        programs: Tuple[str, ...],
-        configs: Sequence[Configuration],
-        chunks: List[Tuple[int, int]],
-        cells: List[Tuple[WorkloadProfile, int]],
-        completed: Dict[str, pathlib.Path],
+        configs: Tuple[Configuration, ...],
+        slices: List[CampaignSlice],
         values: Dict[Tuple[str, Metric], np.ndarray],
-        max_cells: Optional[int],
         fail_fast: bool,
-    ) -> CampaignResult:
-        """The in-process cell loop (``n_jobs == 1``).
+    ) -> Tuple[int, int, List[str], List[str]]:
+        """The in-process slice loop (``n_jobs == 1``).
 
-        When the backend advertises ``simulate_suite``, the first cell
-        of each chunk triggers one program-major call covering every
-        later program that still needs the chunk; the siblings land in
-        a cache and are journalled when the loop reaches them, so the
-        journal records exactly the cells, order and arrays of the
-        per-cell path while the backend builds each chunk's
-        configuration columns only once.
+        Each cell is stored as soon as it is simulated, and the slice's
+        journal records are group-committed when the slice ends.  The
+        campaign-wide circuit breaker stops the loop once it opens,
+        leaving everything not yet simulated pending for a later resume.
+
+        Returns:
+            (cells simulated, backend attempts, failed cell ids, cell
+            ids left pending by an open breaker).
         """
-        registry = get_registry()
         breaker = CircuitBreaker(self.breaker_threshold)
-        use_suite = supports_suite(self.backend)
-        suite_cache: Dict[str, BatchResult] = {}
-        simulated, resumed, attempts = 0, 0, 0
+        simulated = attempts = 0
         failed: List[str] = []
-        pending: List[str] = []
-
-        for position, (profile, chunk_index) in enumerate(cells):
-            cell = f"{profile.name}:{chunk_index}"
-            start, stop = chunks[chunk_index]
-            if cell in completed:
-                with span(
-                    "resume.chunk", program=profile.name, chunk=chunk_index
-                ):
-                    batch = self.resume_cell(
-                        cell, completed[cell], stop - start
-                    )
-                self.fill_values(values, profile.name, start, stop, batch)
-                resumed += 1
-                continue
-            if max_cells is not None and simulated >= max_cells:
-                pending.extend(
-                    f"{p.name}:{i}"
-                    for p, i in cells[position:]
-                    if f"{p.name}:{i}" not in completed
-                )
-                break
-            chunk_configs = list(configs[start:stop])
-
-            batch = suite_cache.pop(cell, None) if use_suite else None
-            if batch is not None:
+        for position, work in enumerate(slices):
+            settled = 0
+            with self.journal.group():
                 try:
-                    validate_batch(batch, f"for cell {cell}")
-                except SimulationError:
-                    batch = None  # distrust the cached copy; re-simulate
-            if batch is not None:
-                with span(
-                    "simulate.chunk", program=profile.name, chunk=chunk_index
-                ) as cell_span:
-                    if cell_span is not None:
-                        cell_span["attrs"]["attempts"] = 0
-                        cell_span["attrs"]["outcome"] = "ok"
-                self.store_cell(cell, profile.name, chunk_index, batch)
-                self.fill_values(values, profile.name, start, stop, batch)
-                simulated += 1
-                continue
-
-            def attempt() -> BatchResult:
-                nonlocal attempts
-                attempts += 1
-                if not use_suite:
-                    return self.backend.simulate_batch(profile, chunk_configs)
-                needed = [
-                    p
-                    for p, i in cells[position:]
-                    if i == chunk_index and f"{p.name}:{i}" not in completed
-                ]
-                results = self.backend.simulate_suite(needed, chunk_configs)
-                for other, result in zip(needed, results):
-                    suite_cache[f"{other.name}:{chunk_index}"] = result
-                return suite_cache.pop(cell)
-
-            before = attempts
-            outcome = "ok"
-            with span(
-                "simulate.chunk", program=profile.name, chunk=chunk_index
-            ) as cell_span:
-                try:
-                    batch = call_with_retry(
-                        attempt,
-                        self.retry_policy,
-                        seed=stable_seed(
-                            "campaign-retry", cell, str(self.seed)
-                        ),
-                        breaker=breaker,
-                        validate=lambda result: validate_batch(
-                            result, f"for cell {cell}"
-                        ),
-                        sleep=self._sleep,
-                        clock=self._clock,
-                    )
+                    for cell, batch, cell_attempts, error in _slice_outcomes(
+                        self.backend, work, configs[work.start:work.stop],
+                        self.retry_policy, self.seed, breaker,
+                        self._sleep, self._clock,
+                    ):
+                        attempts += cell_attempts
+                        simulated += self._settle(
+                            cell, batch, error, values, failed, fail_fast
+                        )
+                        settled += 1
                 except CircuitOpenError:
-                    outcome = "circuit-open"
-                except SimulationError as error:
-                    if fail_fast:
-                        raise
-                    outcome = "failed"
-                    _log.warning(
-                        "cell %s failed permanently: %s", cell, error,
-                        extra={"event": "campaign.cell_failed",
-                               "cell": cell},
-                    )
-                if cell_span is not None:
-                    cell_span["attrs"]["attempts"] = attempts - before
-                    cell_span["attrs"]["outcome"] = outcome
-            if cell_span is not None:
-                # The span's duration is final only once the block exits.
-                registry.histogram("campaign.chunk.seconds").observe(
-                    cell_span["dur"]
-                )
-            if outcome == "circuit-open":
-                # The backend is down; stop burning attempts and leave
-                # everything from here on pending for a later resume.
-                pending.extend(
-                    f"{p.name}:{i}"
-                    for p, i in cells[position:]
-                    if f"{p.name}:{i}" not in completed
-                )
-                break
-            if outcome == "failed":
-                failed.append(cell)
-                continue
-            self.store_cell(cell, profile.name, chunk_index, batch)
-            self.fill_values(values, profile.name, start, stop, batch)
-            simulated += 1
-
-        return CampaignResult(
-            programs=programs,
-            configs=tuple(configs),
-            total_cells=len(cells),
-            simulated_cells=simulated,
-            resumed_cells=resumed,
-            failed_cells=tuple(failed),
-            pending_cells=tuple(pending),
-            attempts=attempts,
-            _values=values,
-        )
+                    # The backend is down; stop burning attempts.
+                    return simulated, attempts, failed, [
+                        cell.cell
+                        for later in [work.cells[settled:]] + [
+                            rest.cells for rest in slices[position + 1:]
+                        ]
+                        for cell in later
+                    ]
+        return simulated, attempts, failed, []
 
     def _run_parallel(
         self,
-        programs: Tuple[str, ...],
-        configs: Sequence[Configuration],
-        chunks: List[Tuple[int, int]],
-        cells: List[Tuple[WorkloadProfile, int]],
-        completed: Dict[str, pathlib.Path],
+        configs: Tuple[Configuration, ...],
+        slices: List[CampaignSlice],
         values: Dict[Tuple[str, Metric], np.ndarray],
-        max_cells: Optional[int],
         fail_fast: bool,
-    ) -> CampaignResult:
-        """Fan the unfinished cells out over a process pool.
+    ) -> Tuple[int, int, List[str], List[str]]:
+        """Fan the slices out over a process pool.
 
-        Resumed cells are all restored first (the parallel path never
-        stops mid-resume), then up to ``max_cells`` unfinished cells are
-        dispatched; the rest stay pending.  Suite-capable backends get
-        one task per *chunk* (every unfinished program at that chunk in
-        a single program-major call); everything else gets one task per
-        cell.  Results are journalled as the ordered ``map`` stream
-        delivers them, so an interrupted parallel run resumes exactly
-        like a serial one.  Each worker ships its telemetry (spans,
-        counters, chunk latencies) back with the batch; the parent
-        merges everything into the process-global registry/tracer, so
-        aggregate metrics match a serial run for deterministic backends.
+        A suite backend gets one task per slice.  A suite-less backend
+        gets one task per cell, as its slice would buy it no shared
+        call, and its cells still spread over every worker.  Results
+        are journalled, one group commit per slice, as the ordered
+        ``map`` stream delivers them, so an interrupted parallel run
+        resumes exactly like a serial one.  Each worker ships its
+        telemetry (spans, counters, call latencies) back with the
+        batches; the parent merges everything into the process-global
+        registry/tracer, so aggregate metrics match a serial run for
+        deterministic backends.
         """
         registry = get_registry()
         tracer = get_tracer()
-        simulated, resumed, attempts = 0, 0, 0
+        simulated = attempts = 0
         failed: List[str] = []
-        todo: List[Tuple[str, WorkloadProfile, int, int, int]] = []
-        for profile, chunk_index in cells:
-            cell = f"{profile.name}:{chunk_index}"
-            start, stop = chunks[chunk_index]
-            if cell in completed:
-                with span(
-                    "resume.chunk", program=profile.name, chunk=chunk_index
-                ):
-                    batch = self.resume_cell(
-                        cell, completed[cell], stop - start
-                    )
-                self.fill_values(values, profile.name, start, stop, batch)
-                resumed += 1
-            else:
-                todo.append((cell, profile, chunk_index, start, stop))
-        pending: List[str] = []
-        if max_cells is not None and len(todo) > max_cells:
-            pending = [item[0] for item in todo[max_cells:]]
-            todo = todo[:max_cells]
-        if todo and supports_suite(self.backend):
-            # Program-major fast path: one task per chunk covering every
-            # unfinished program at that chunk, so each worker builds
-            # the chunk's configuration columns once.  The journal holds
-            # the same cells with the same arrays as the per-cell path,
-            # just appended chunk-major — resume reads the journal as a
-            # set, so the orders are interchangeable.
-            groups: Dict[
-                int, List[Tuple[str, WorkloadProfile, int, int, int]]
-            ] = {}
-            for item in todo:
-                groups.setdefault(item[2], []).append(item)
-            tasks = [
-                (
-                    self.backend,
-                    tuple(item[1] for item in group),
-                    list(configs[group[0][3] : group[0][4]]),
-                    self.retry_policy,
-                    stable_seed(
-                        "campaign-retry", f"suite:{chunk_index}",
-                        str(self.seed),
-                    ),
-                    tuple(item[0] for item in group),
-                    chunk_index,
-                )
-                for chunk_index, group in groups.items()
+        if not slices:
+            return simulated, attempts, failed, []
+        suite = supports_suite(self.backend)
+        units = [
+            [work] if suite else [
+                CampaignSlice((cell.profile,), (cell,), cell.start, cell.stop)
+                for cell in work.cells
             ]
-            workers = min(self.n_jobs, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = pool.map(_simulate_suite_worker, tasks)
-                for group, outcome in zip(groups.values(), outcomes):
-                    _, batches, suite_attempts, error, telemetry = outcome
-                    attempts += suite_attempts
-                    registry.merge(telemetry["metrics"])
-                    tracer.adopt(telemetry["spans"])
-                    if batches is None:
-                        if fail_fast:
-                            raise SimulationError(error)
-                        for cell, *_ in group:
-                            _log.warning(
-                                "cell %s failed permanently: %s", cell,
-                                error,
-                                extra={"event": "campaign.cell_failed",
-                                       "cell": cell},
+            for work in slices
+        ]
+        tasks = [
+            (
+                self.backend, unit, configs[unit.start:unit.stop],
+                self.retry_policy, self.seed,
+            )
+            for parts in units
+            for unit in parts
+        ]
+        with ProcessPoolExecutor(
+            max_workers=min(self.n_jobs, len(tasks))
+        ) as pool:
+            results = pool.map(_simulate_slice_worker, tasks)
+            for parts in units:
+                with self.journal.group():
+                    for unit in parts:
+                        outcomes, telemetry = next(results)
+                        registry.merge(telemetry["metrics"])
+                        tracer.adopt(telemetry["spans"])
+                        for cell, (batch, cell_attempts, error) in zip(
+                            unit.cells, outcomes
+                        ):
+                            attempts += cell_attempts
+                            simulated += self._settle(
+                                cell, batch, error, values, failed,
+                                fail_fast,
                             )
-                            failed.append(cell)
-                        continue
-                    for item, batch in zip(group, batches):
-                        cell, profile, chunk_index, start, stop = item
-                        self.store_cell(
-                            cell, profile.name, chunk_index, batch
-                        )
-                        self.fill_values(
-                            values, profile.name, start, stop, batch
-                        )
-                        simulated += 1
-        elif todo:
-            tasks = [
-                (
-                    self.backend,
-                    profile,
-                    list(configs[start:stop]),
-                    self.retry_policy,
-                    stable_seed("campaign-retry", cell, str(self.seed)),
-                    cell,
-                    chunk_index,
-                )
-                for cell, profile, chunk_index, start, stop in todo
-            ]
-            workers = min(self.n_jobs, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = pool.map(_simulate_cell_worker, tasks)
-                for item, outcome in zip(todo, outcomes):
-                    cell, profile, chunk_index, start, stop = item
-                    _, batch, cell_attempts, error, telemetry = outcome
-                    attempts += cell_attempts
-                    registry.merge(telemetry["metrics"])
-                    tracer.adopt(telemetry["spans"])
-                    if batch is None:
-                        if fail_fast:
-                            raise SimulationError(error)
-                        _log.warning(
-                            "cell %s failed permanently: %s", cell, error,
-                            extra={"event": "campaign.cell_failed",
-                                   "cell": cell},
-                        )
-                        failed.append(cell)
-                        continue
-                    self.store_cell(cell, profile.name, chunk_index, batch)
-                    self.fill_values(values, profile.name, start, stop, batch)
-                    simulated += 1
-        return CampaignResult(
-            programs=programs,
-            configs=tuple(configs),
-            total_cells=len(cells),
-            simulated_cells=simulated,
-            resumed_cells=resumed,
-            failed_cells=tuple(failed),
-            pending_cells=tuple(pending),
-            attempts=attempts,
-            _values=values,
+        return simulated, attempts, failed, []
+
+    def _settle(
+        self,
+        cell: CampaignCell,
+        batch: Optional[BatchResult],
+        error: Optional[SimulationError],
+        values: Dict[Tuple[str, Metric], np.ndarray],
+        failed: List[str],
+        fail_fast: bool,
+    ) -> bool:
+        """Store a simulated cell, or record its failure; True if stored."""
+        if batch is None:
+            if fail_fast:
+                raise error
+            _log.warning(
+                "cell %s failed permanently: %s", cell.cell, error,
+                extra={"event": "campaign.cell_failed", "cell": cell.cell},
+            )
+            failed.append(cell.cell)
+            return False
+        self.store_cell(cell.cell, cell.profile.name, cell.chunk_index, batch)
+        self.fill_values(
+            values, cell.profile.name, cell.start, cell.stop, batch
         )
+        return True
+
 
     def _write_interrupted_manifest(
         self, error: BaseException, trace_start: int, started: float
@@ -1008,7 +994,10 @@ class CampaignRunner:
         either no cell file or a complete one, never a torn ``.npz``
         that a later ``--resume`` would have to distrust.  (The journal
         checksum would catch a torn file anyway; the atomic write means
-        it never has to.)
+        it never has to.)  Inside a :meth:`CampaignJournal.group` the
+        record is buffered and committed with the rest of the run
+        slice; the distributed coordinator calls this outside any group,
+        so each of its records is fsynced on its own.
         """
         self.chunks_dir.mkdir(parents=True, exist_ok=True)
         path = self._cell_path(program, chunk_index)

@@ -2,9 +2,22 @@
 
 The journal is the campaign's source of truth for what is already done.
 Each completed (program, chunk) cell appends exactly one JSON line —
-cell id, result file, content checksum — and the file is flushed and
-fsynced per record, so a ``kill -9`` loses at most the cell in flight.
-A half-written trailing line (the signature of an interrupted append)
+cell id, result file, content checksum.  Every write is one ``open``,
+one ``write`` and one ``fsync``: either a single record (:meth:`append`)
+or a whole run slice's records group-committed together (:meth:`group`
+around the appends).  The campaign runner appends a record only after
+its cell file is fsynced and renamed into place, so a durable record
+never points at a file that is not durable.  Crash semantics of the
+group commit:
+
+* a ``kill -9`` loses nothing already written — the OS keeps every
+  completed ``write``; only records still buffered for the slice in
+  flight are gone, and their cells are re-simulated on resume;
+* a power loss loses at most the slice being flushed.  Its cell files
+  may be on disk without records; resume treats them as never
+  finished and re-simulates them, never trusting a torn record.
+
+A half-written trailing line (the signature of an interrupted write)
 is detected and ignored on read, never treated as data.
 """
 
@@ -13,7 +26,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, Iterator, List, Union
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Union
 
 
 class CampaignJournal:
@@ -26,20 +40,50 @@ class CampaignJournal:
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._buffer: Optional[List[str]] = None
 
     def exists(self) -> bool:
         """True when a journal file is already on disk."""
         return self.path.exists()
 
     def append(self, record: Dict) -> None:
-        """Durably append one record as a single JSON line."""
+        """Durably append one record (buffered inside :meth:`group`)."""
+        if self._buffer is None:
+            self._write([self._line(record)])
+        else:
+            self._buffer.append(self._line(record))
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Group-commit every :meth:`append` made inside the block.
+
+        The buffered records are written on exit, clean or not, so the
+        cells stored before an exception stay journalled; a crash
+        before the exit loses only the buffered records.
+        """
+        if self._buffer is not None:
+            raise RuntimeError("journal groups do not nest")
+        self._buffer = []
+        try:
+            yield
+        finally:
+            lines, self._buffer = self._buffer, None
+            self._write(lines)
+
+    def _write(self, lines: List[str]) -> None:
+        if not lines:
+            return
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write("".join(lines))
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    @staticmethod
+    def _line(record: Dict) -> str:
         line = json.dumps(record, sort_keys=True)
         if "\n" in line:
             raise ValueError("journal records must serialise to one line")
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        return line + "\n"
 
     def records(self) -> List[Dict]:
         """All intact records, oldest first (torn tail lines skipped)."""

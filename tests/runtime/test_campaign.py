@@ -54,11 +54,12 @@ class TestCleanRun:
         assert clean_result.complete
         assert clean_result.failed_cells == ()
         assert clean_result.pending_cells == ()
-        # 3 programs x ceil(60 / 16) = 12 cells, served by 4 program-major
-        # suite calls (one per chunk: the backend supports simulate_suite)
+        # 3 programs x ceil(60 / 16) = 12 cells.  The 4 chunks need the
+        # same programs and fit in one run slice (up to 32 chunks of 16),
+        # so one program-major suite call serves them all.
         assert clean_result.total_cells == 12
         assert clean_result.simulated_cells == 12
-        assert clean_result.attempts == 4
+        assert clean_result.attempts == 1
 
     def test_matches_direct_simulation(self, clean_result, simulator,
                                        tiny_suite, tiny_configs):
@@ -314,7 +315,8 @@ class TestParallelCampaign:
         ).run(tiny_suite, tiny_configs)
         assert parallel.complete
         assert parallel.simulated_cells == serial.simulated_cells
-        assert parallel.attempts == serial.attempts
+        # one run slice covers the whole campaign: one suite call each
+        assert parallel.attempts == serial.attempts == 1
         for metric in Metric.all():
             assert np.array_equal(
                 parallel.matrix(metric), serial.matrix(metric)
@@ -413,7 +415,7 @@ class TestSuiteFastPath:
             BatchOnlyBackend(backend), tmp_path / "slow", chunk_size=16
         ).run(tiny_suite, tiny_configs)
         assert fast.complete and slow.complete
-        assert fast.attempts == 4  # one suite call per chunk
+        assert fast.attempts == 1  # one suite call for the one slice
         assert slow.attempts == 12  # one batch call per cell
         for metric in Metric.all():
             assert np.array_equal(fast.matrix(metric), slow.matrix(metric))
@@ -430,7 +432,7 @@ class TestSuiteFastPath:
         parallel = CampaignRunner(
             backend, tmp_path / "par", chunk_size=16, n_jobs=2
         ).run(tiny_suite, tiny_configs)
-        assert parallel.attempts == serial.attempts == 4
+        assert parallel.attempts == serial.attempts == 1  # one slice
         for metric in Metric.all():
             assert np.array_equal(
                 parallel.matrix(metric), serial.matrix(metric)

@@ -1,5 +1,7 @@
 """Tests for the append-only campaign journal."""
 
+import os
+
 import pytest
 
 from repro.runtime import CampaignJournal
@@ -47,3 +49,45 @@ class TestJournal:
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ValueError, match="not an object"):
             CampaignJournal(path).records()
+
+
+class TestGroupCommit:
+    def test_group_writes_once_on_exit(self, tmp_path, monkeypatch):
+        journal = CampaignJournal(tmp_path / "journal.jsonl")
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        with journal.group():
+            journal.append({"cell": "gzip:0"})
+            journal.append({"cell": "gzip:1"})
+            assert journal.records() == []  # buffered, not yet written
+        assert [r["cell"] for r in journal.records()] == ["gzip:0", "gzip:1"]
+        assert len(fsyncs) == 1
+
+    def test_group_bytes_match_single_appends(self, tmp_path):
+        single = CampaignJournal(tmp_path / "single.jsonl")
+        grouped = CampaignJournal(tmp_path / "grouped.jsonl")
+        records = [{"cell": f"art:{i}", "checksum": "f" * 8} for i in range(3)]
+        for record in records:
+            single.append(record)
+        with grouped.group():
+            for record in records:
+                grouped.append(record)
+        assert grouped.path.read_bytes() == single.path.read_bytes()
+
+    def test_exception_still_commits_buffered_records(self, tmp_path):
+        journal = CampaignJournal(tmp_path / "journal.jsonl")
+        with pytest.raises(KeyboardInterrupt):
+            with journal.group():
+                journal.append({"cell": "gzip:0"})
+                raise KeyboardInterrupt
+        assert [r["cell"] for r in journal.records()] == ["gzip:0"]
+
+    def test_groups_do_not_nest(self, tmp_path):
+        journal = CampaignJournal(tmp_path / "journal.jsonl")
+        with journal.group():
+            with pytest.raises(RuntimeError, match="nest"):
+                with journal.group():
+                    pass

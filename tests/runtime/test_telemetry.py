@@ -178,8 +178,8 @@ class TestParallelParity:
     def test_parallel_spans_carry_worker_attrs(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
-        """A suite-capable backend gets one program-major task per
-        chunk, so the workers emit one ``simulate.suite`` span each."""
+        """A suite-capable backend gets one program-major task per run
+        slice, so the workers emit one ``simulate.suite`` span each."""
         runner = CampaignRunner(
             backend, tmp_path / "par", chunk_size=16, n_jobs=2
         )
@@ -189,11 +189,12 @@ class TestParallelParity:
             s for s in tracer.spans if s["name"] == "simulate.suite"
         ]
         chunks = result.total_cells // len(result.programs)
-        assert len(suite_spans) == chunks
+        assert len(suite_spans) == 1  # all 4 chunks fit in one slice
         for record in suite_spans:
             assert record["attrs"]["outcome"] == "ok"
             assert record["attrs"]["attempts"] == 1
             assert record["attrs"]["programs"] == len(result.programs)
+            assert record["attrs"]["chunks"] == chunks
 
     def test_parallel_cell_spans_for_batch_only_backends(
         self, backend, tiny_suite, tiny_configs, tmp_path

@@ -163,8 +163,15 @@ class _OneShotServer:
 
     def close(self) -> None:
         self._alive = False
+        # Closing a listener does not wake a thread blocked in accept();
+        # shutting it down does (accept then raises OSError).
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
 
 
 class TestStaleKeepAlive:

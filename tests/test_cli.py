@@ -215,7 +215,8 @@ class TestTelemetry:
         ) == 0
         metrics = json.loads(metrics_path.read_text())
         assert metrics["campaign.cells.simulated"]["value"] >= 2
-        assert metrics["retry.attempts"]["value"] >= 2
+        # both 32-config chunks ride one run slice: one suite call
+        assert metrics["retry.attempts"]["value"] == 1
         assert metrics["campaign.chunk.seconds"]["kind"] == "histogram"
         assert str(metrics_path) in capsys.readouterr().err
 

@@ -1,8 +1,10 @@
 """Tests for the shared ``n_jobs`` resolver (one dialect everywhere)."""
 
+import os
+
 import pytest
 
-from repro.parallel import JOBS_ENV, resolve_jobs
+from repro.parallel import JOBS_ENV, available_cpus, resolve_jobs
 
 
 class TestResolveJobs:
@@ -54,3 +56,27 @@ class TestResolveJobs:
     def test_env_beats_caller_default(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "2")
         assert resolve_jobs(None, default=4) == 2
+
+
+class TestAffinity:
+    def test_minus_one_follows_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        assert available_cpus() == 2
+        assert resolve_jobs(-1) == 2
+
+    def test_env_minus_one_follows_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {5}, raising=False
+        )
+        monkeypatch.setenv(JOBS_ENV, "-1")
+        assert resolve_jobs(None) == 1
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_jobs(-1) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(-1) == 1
