@@ -255,6 +255,7 @@ class CampaignCoordinator:
         self.chaos_log: List[Dict] = []
         # Campaign state, created by run_async().
         self._plan: Optional[CampaignPlan] = None
+        self._config_checksum: Optional[str] = None
         self._values: Dict[Tuple[str, Metric], np.ndarray] = {}
         self._queue: Deque[CampaignCell] = deque()
         self._not_before: Dict[str, float] = {}
@@ -314,7 +315,9 @@ class CampaignCoordinator:
                 error, trace_start, started
             )
             raise
-        self.runner._finalize(result, trace_start, started)
+        self.runner._finalize(
+            result, trace_start, started, self._config_checksum
+        )
         return result
 
     async def run_async(
@@ -327,7 +330,10 @@ class CampaignCoordinator:
         install_signals: bool = False,
     ) -> CampaignResult:
         """Serve the campaign on the current event loop."""
-        plan = self.runner.plan(profiles, configs, resume)
+        self._config_checksum = self.runner._config_checksum(configs)
+        plan = self.runner._plan(
+            profiles, configs, resume, self._config_checksum
+        )
         self._plan = plan
         self._fail_fast = fail_fast
         self._values = {

@@ -17,16 +17,21 @@ An archive written by :func:`write_archive` carries two reserved keys:
 
 Writes are atomic (scratch file, fsync, rename), so a crash mid-write
 leaves either the previous artifact or none — never a torn archive that
-a later load would have to distrust.  Reads wrap every way an archive
-can be unreadable (truncation, zip damage, missing keys) into one
+a later load would have to distrust.  The archive is built in memory
+and handed to :func:`_write_atomic`, the package's one
+create/write/fsync/rename sequence; the campaign runner's per-cell
+files go through it too.  Reads wrap every way an archive can be
+unreadable (truncation, zip damage, missing keys) into one
 :class:`ValueError` with the path in the message.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pathlib
+import time
 import zipfile
 import zlib
 from typing import Dict, Mapping, Sequence, Tuple, Union
@@ -69,6 +74,34 @@ def payload_checksum(payload: Mapping[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+def _write_atomic(path: pathlib.Path, data: bytes) -> Tuple[float, float]:
+    """Durably replace ``path`` with ``data``.
+
+    One scratch file is created next to ``path``, written, fsynced and
+    renamed over it, so a crash at any point leaves the old file or
+    the new one, never a torn mix.  The scratch file is removed if any
+    step fails.
+
+    Returns:
+        ``(write_s, fsync_s)``: seconds spent creating, writing and
+        renaming, and seconds spent in ``fsync``.
+    """
+    scratch = path.with_name(path.name + ".tmp")
+    started = time.perf_counter()
+    try:
+        with open(scratch, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            synced = time.perf_counter()
+            os.fsync(handle.fileno())
+            fsync_s = time.perf_counter() - synced
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+    return time.perf_counter() - started - fsync_s, fsync_s
+
+
 def write_archive(
     path: Union[str, pathlib.Path],
     payload: Mapping[str, np.ndarray],
@@ -95,18 +128,10 @@ def write_archive(
         CHECKSUM_KEY: np.array(payload_checksum(payload)),
         **payload,
     }
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **complete)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # numpy appends ".npz" to names lacking it, so the scratch file must
-    # already end in ".npz" for the rename below to find it.
-    scratch = path.with_name(path.stem + ".tmp.npz")
-    try:
-        np.savez_compressed(scratch, **complete)
-        with open(scratch, "rb") as handle:
-            os.fsync(handle.fileno())
-        os.replace(scratch, path)
-    except BaseException:
-        scratch.unlink(missing_ok=True)
-        raise
+    _write_atomic(path, buffer.getvalue())
     return path
 
 

@@ -25,8 +25,9 @@ with exactly the same arrays.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-import os
 import pathlib
 import time
 import uuid
@@ -67,8 +68,9 @@ from .backend import (
     supports_suite,
     validate_batch,
 )
+from .artifact import _write_atomic
 from .integrity import array_checksum, file_checksum
-from .journal import CampaignJournal
+from .journal import CampaignJournal, record_stage
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy, call_with_retry
 
 if TYPE_CHECKING:  # lazy import keeps runtime free of exploration
@@ -531,7 +533,8 @@ class CampaignRunner:
         accounting and a per-stage timing summary — so a checkpoint
         directory documents its own provenance.
         """
-        plan = self.plan(profiles, configs, resume)
+        config_checksum = self._config_checksum(configs)
+        plan = self._plan(profiles, configs, resume, config_checksum)
         programs = plan.programs
         values: Dict[Tuple[str, Metric], np.ndarray] = {
             (program, metric): np.full(len(configs), np.nan)
@@ -596,7 +599,7 @@ class CampaignRunner:
             # --resume needs the provenance, not a missing manifest.
             self._write_interrupted_manifest(error, trace_start, started)
             raise
-        self._finalize(result, trace_start, started)
+        self._finalize(result, trace_start, started, config_checksum)
         return result
 
     def plan(
@@ -616,11 +619,23 @@ class CampaignRunner:
         Raises:
             ValueError: on empty inputs or an incompatible checkpoint.
         """
+        return self._plan(
+            profiles, configs, resume, self._config_checksum(configs)
+        )
+
+    def _plan(
+        self,
+        profiles: Union["BenchmarkSuite", Sequence[WorkloadProfile]],
+        configs: Sequence[Configuration],
+        resume: bool,
+        config_checksum: str,
+    ) -> CampaignPlan:
+        """:meth:`plan` with the configuration checksum already taken."""
         profile_list = self._profiles(profiles)
         if not configs:
             raise ValueError("a campaign needs at least one configuration")
         programs = tuple(profile.name for profile in profile_list)
-        self._check_manifest(programs, configs, resume)
+        self._check_manifest(programs, configs, resume, config_checksum)
         chunks = tuple(self._chunk_bounds(len(configs)))
         cells = tuple(
             CampaignCell(
@@ -832,7 +847,8 @@ class CampaignRunner:
             pass
 
     def _finalize(
-        self, result: CampaignResult, trace_start: int, started: float
+        self, result: CampaignResult, trace_start: int, started: float,
+        config_checksum: str,
     ) -> None:
         """Record campaign-level metrics and write the run manifest."""
         registry = get_registry()
@@ -866,7 +882,7 @@ class CampaignRunner:
         manifest = build_manifest(
             run_id=uuid.uuid4().hex,
             seed=self.seed,
-            config_checksum=self._config_checksum(result.configs),
+            config_checksum=config_checksum,
             extra={
                 "kind": "campaign",
                 "status": "complete" if result.complete else "incomplete",
@@ -932,13 +948,14 @@ class CampaignRunner:
         programs: Tuple[str, ...],
         configs: Sequence[Configuration],
         resume: bool,
+        config_checksum: str,
     ) -> None:
         manifest = {
             "version": _MANIFEST_VERSION,
             "programs": list(programs),
             "config_count": len(configs),
             "chunk_size": self.chunk_size,
-            "configs_checksum": self._config_checksum(configs),
+            "configs_checksum": config_checksum,
         }
         if self.manifest_path.exists():
             if not resume:
@@ -989,39 +1006,40 @@ class CampaignRunner:
     ) -> None:
         """Write the cell atomically, then journal it with its checksum.
 
-        The arrays go to a scratch file first, are fsynced, and only
-        then renamed over the final name — a crash at any point leaves
-        either no cell file or a complete one, never a torn ``.npz``
-        that a later ``--resume`` would have to distrust.  (The journal
-        checksum would catch a torn file anyway; the atomic write means
-        it never has to.)  Inside a :meth:`CampaignJournal.group` the
-        record is buffered and committed with the rest of the run
-        slice; the distributed coordinator calls this outside any group,
-        so each of its records is fsynced on its own.
+        The metric arrays are serialised in memory as a stored ``.npz``
+        (not deflated: float64 metrics barely compress), and the bytes
+        go to a scratch file that is fsynced and only then renamed over
+        the final name — a crash at any point leaves either no cell
+        file or a complete one, never a torn ``.npz`` that a later
+        ``--resume`` would have to distrust.  The journal checksum is
+        the SHA-256 of exactly the bytes written, so the file is never
+        read back; resume verifies it against the file on disk.
+        Inside a :meth:`CampaignJournal.group` the record is buffered
+        and committed with the rest of the run slice; the distributed
+        coordinator calls this outside any group, so each of its
+        records is fsynced on its own.  The serialise, write
+        (create, write and rename) and fsync stages are recorded in
+        ``campaign.stage.seconds``.
         """
+        started = time.perf_counter()
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            **{field: getattr(batch, field) for field in _METRIC_FIELDS},
+        )
+        data = buffer.getvalue()
+        checksum = hashlib.sha256(data).hexdigest()
+        record_stage("serialise", time.perf_counter() - started)
         self.chunks_dir.mkdir(parents=True, exist_ok=True)
         path = self._cell_path(program, chunk_index)
-        # numpy appends ".npz" to names lacking it, so the scratch file
-        # must already end in ".npz" for the rename below to find it.
-        scratch = path.with_name(path.stem + ".tmp.npz")
-        try:
-            np.savez_compressed(
-                scratch,
-                **{
-                    field: getattr(batch, field) for field in _METRIC_FIELDS
-                },
-            )
-            with open(scratch, "rb") as handle:
-                os.fsync(handle.fileno())
-            os.replace(scratch, path)
-        except BaseException:
-            scratch.unlink(missing_ok=True)
-            raise
+        write_s, fsync_s = _write_atomic(path, data)
+        record_stage("write", write_s)
+        record_stage("fsync", fsync_s)
         self.journal.append(
             {
                 "cell": cell,
                 "file": str(path.relative_to(self.checkpoint_dir)),
-                "checksum": file_checksum(path),
+                "checksum": checksum,
             }
         )
         _log.debug(

@@ -32,7 +32,9 @@ Energy model
 Wattch-style: per-instruction activity counts for every structure times
 the Cacti-style per-access energies of :mod:`repro.sim.energy`, inflated
 on the speculative front-end path by the wrong-path factor, plus leakage
-and clock power integrated over the elapsed cycles.
+and clock power integrated over the elapsed cycles.  The per-access
+energies, area, leakage and clock power depend on the configuration
+alone, so a suite evaluation computes them once for all its programs.
 """
 
 from __future__ import annotations
@@ -102,6 +104,30 @@ class BatchResult:
 
 
 @dataclass(frozen=True)
+class _ConfigEnergy:
+    """Program-independent energy terms of one configuration batch.
+
+    Per-access energies (pairs that are always summed are stored as
+    their sum) and the per-cycle static power.  Built once per
+    configuration columns and shared by every program simulated over
+    them; each field is combined with program activity exactly as the
+    unshared expression was, so results stay bit-identical.
+    """
+
+    icache: np.ndarray
+    predictor: np.ndarray  # 2 x gshare read + BTB read
+    rename: np.ndarray
+    rob: np.ndarray  # write + read
+    iq: np.ndarray  # write + wakeup
+    rf_read: np.ndarray
+    rf_write: np.ndarray
+    lsq_dcache: np.ndarray  # LSQ write + D-cache access
+    lsq_search: np.ndarray
+    l2: np.ndarray
+    static: np.ndarray  # leakage + clock, per cycle
+
+
+@dataclass(frozen=True)
 class _ProfileInvariants:
     """Config-independent quantities of one profile, cached across
     batches so repeated campaign chunks do not recompute them."""
@@ -146,7 +172,9 @@ class IntervalSimulator:
     ) -> SimulationResult:
         """Simulate one configuration, returning a diagnostic breakdown."""
         columns = self._columns([config])
-        cycles, energy, breakdown = self._evaluate(profile, columns)
+        cycles, energy, breakdown = self._evaluate(
+            profile, columns, self._config_energy(columns)
+        )
         metrics = derive_metrics(cycles[0], energy[0])
         return SimulationResult(
             cycles=float(metrics[Metric.CYCLES]),
@@ -164,7 +192,9 @@ class IntervalSimulator:
             empty = np.empty(0)
             return BatchResult(empty, empty.copy(), empty.copy(), empty.copy())
         columns = self._columns(configs)
-        return self._batch_from_columns(profile, columns)
+        return self._batch_from_columns(
+            profile, columns, self._config_energy(columns)
+        )
 
     def simulate_suite(
         self,
@@ -174,10 +204,10 @@ class IntervalSimulator:
         """Program-major 2-D evaluation: every profile over one batch.
 
         The configuration columns (validation, raw values, unit-cube
-        coordinates) are built once and shared by all profiles, so a
-        whole suite costs one column build plus one model pass per
-        program.  Results are bit-identical to calling
-        :meth:`simulate_batch` per profile.
+        coordinates) and the program-independent energy terms are
+        built once and shared by all profiles, so a whole suite costs
+        one column build plus one model pass per program.  Results are
+        bit-identical to calling :meth:`simulate_batch` per profile.
         """
         profiles = list(profiles)
         if not configs:
@@ -188,8 +218,9 @@ class IntervalSimulator:
                 for _ in profiles
             ]
         columns = self._columns(configs)
+        config_energy = self._config_energy(columns)
         return [
-            self._batch_from_columns(profile, columns)
+            self._batch_from_columns(profile, columns, config_energy)
             for profile in profiles
         ]
 
@@ -197,9 +228,12 @@ class IntervalSimulator:
     # Internals
     # ------------------------------------------------------------------
     def _batch_from_columns(
-        self, profile: WorkloadProfile, columns: Dict[str, np.ndarray]
+        self,
+        profile: WorkloadProfile,
+        columns: Dict[str, np.ndarray],
+        config_energy: _ConfigEnergy,
     ) -> BatchResult:
-        cycles, energy, _ = self._evaluate(profile, columns)
+        cycles, energy, _ = self._evaluate(profile, columns, config_energy)
         metrics = derive_metrics(cycles, energy)
         return BatchResult(
             cycles=metrics[Metric.CYCLES],
@@ -330,7 +364,10 @@ class IntervalSimulator:
         return np.minimum(width, np.minimum(port_limit, fu_limit))
 
     def _evaluate(
-        self, profile: WorkloadProfile, columns: Dict[str, np.ndarray]
+        self,
+        profile: WorkloadProfile,
+        columns: Dict[str, np.ndarray],
+        config_energy: _ConfigEnergy,
     ):
         """Core vectorised evaluation -> (cycles, energy, breakdown)."""
         fixed = self.fixed
@@ -413,7 +450,8 @@ class IntervalSimulator:
 
         # Energy -------------------------------------------------------------
         energy = self._energy(
-            profile, columns, cycles, ipc_base, resolve, branches, imiss, dmiss
+            profile, config_energy, cycles, ipc_base, resolve, branches,
+            imiss, dmiss,
         )
         energy_factor = profile.idiosyncrasy_energy.factor(columns["_unit"])
         energy = energy * energy_factor
@@ -432,22 +470,9 @@ class IntervalSimulator:
         }
         return cycles, energy, breakdown
 
-    def _energy(
-        self,
-        profile: WorkloadProfile,
-        columns: Dict[str, np.ndarray],
-        cycles: np.ndarray,
-        ipc_base: np.ndarray,
-        resolve: np.ndarray,
-        branches,
-        imiss,
-        dmiss,
-    ) -> np.ndarray:
-        """Wattch-style energy: activity x per-access energy + overheads."""
+    def _config_energy(self, columns: Dict[str, np.ndarray]) -> _ConfigEnergy:
+        """Per-access energies and static power of a configuration batch."""
         fixed = self.fixed
-        mix = profile.mix
-        invariants = self._invariants(profile)
-        instructions = invariants.instructions
         width = columns["width"]
         rf_ports = columns["rf_read_ports"] + columns["rf_write_ports"]
 
@@ -480,30 +505,6 @@ class IntervalSimulator:
         )
         rename = e.array_read_energy(64, 8, 2 * width)
 
-        # Wrong-path inflation: speculatively fetched/renamed work that a
-        # misprediction discards.
-        wasted = np.clip(
-            branches.mispredicts_per_instruction * ipc_base * resolve * 0.5,
-            0.0,
-            1.5,
-        )
-        spec = 1.0 + wasted
-
-        alu = invariants.alu_energy
-        per_instruction = (
-            (1.0 / _INSTRUCTIONS_PER_FETCH) * icache * spec
-            + mix.branch * (2.0 * gshare + btb) * spec
-            + rename * spec
-            + (rob_write + rob_read) * spec
-            + (iq_write + iq_wakeup) * spec
-            + profile.reads_per_instruction * rf_read * spec
-            + profile.dest_fraction * rf_write * spec
-            + mix.memory * (lsq_write + dcache) * spec
-            + mix.load * lsq_search * spec
-            + alu * spec
-            + (imiss.l1 / _INSTRUCTIONS_PER_FETCH + mix.memory * dmiss.l1) * l2
-        )
-
         # Area and static power.
         alu_units = {
             "int_alu": width,
@@ -532,7 +533,61 @@ class IntervalSimulator:
         leakage = area * e.LEAKAGE_PER_AREA
         clock = e.CLOCK_ENERGY_COEFF * np.sqrt(area) * width
 
-        return instructions * per_instruction + cycles * (leakage + clock)
+        return _ConfigEnergy(
+            icache=icache,
+            predictor=2.0 * gshare + btb,
+            rename=rename,
+            rob=rob_write + rob_read,
+            iq=iq_write + iq_wakeup,
+            rf_read=rf_read,
+            rf_write=rf_write,
+            lsq_dcache=lsq_write + dcache,
+            lsq_search=lsq_search,
+            l2=l2,
+            static=leakage + clock,
+        )
+
+    def _energy(
+        self,
+        profile: WorkloadProfile,
+        config_energy: _ConfigEnergy,
+        cycles: np.ndarray,
+        ipc_base: np.ndarray,
+        resolve: np.ndarray,
+        branches,
+        imiss,
+        dmiss,
+    ) -> np.ndarray:
+        """Wattch-style energy: activity x per-access energy + overheads."""
+        mix = profile.mix
+        invariants = self._invariants(profile)
+        instructions = invariants.instructions
+        c = config_energy
+
+        # Wrong-path inflation: speculatively fetched/renamed work that a
+        # misprediction discards.
+        wasted = np.clip(
+            branches.mispredicts_per_instruction * ipc_base * resolve * 0.5,
+            0.0,
+            1.5,
+        )
+        spec = 1.0 + wasted
+
+        alu = invariants.alu_energy
+        per_instruction = (
+            (1.0 / _INSTRUCTIONS_PER_FETCH) * c.icache * spec
+            + mix.branch * c.predictor * spec
+            + c.rename * spec
+            + c.rob * spec
+            + c.iq * spec
+            + profile.reads_per_instruction * c.rf_read * spec
+            + profile.dest_fraction * c.rf_write * spec
+            + mix.memory * c.lsq_dcache * spec
+            + mix.load * c.lsq_search * spec
+            + alu * spec
+            + (imiss.l1 / _INSTRUCTIONS_PER_FETCH + mix.memory * dmiss.l1) * c.l2
+        )
+        return instructions * per_instruction + cycles * c.static
 
 
 def simulate(

@@ -20,6 +20,7 @@ are not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, Sequence, Tuple
@@ -197,6 +198,7 @@ class Idiosyncrasy:
         if self.active_dimensions < 1:
             raise ValueError("active_dimensions must be at least 1")
 
+    @functools.lru_cache(maxsize=1024)
     def _bump_parameters(
         self, dims: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,6 +208,10 @@ class Idiosyncrasy:
         program quirks are interactions of a few parameters, not all
         thirteen); restricting the distance to that subset keeps the
         gaussians from vanishing in high dimension.
+
+        The draw depends only on the (frozen) fields and ``dims``, so
+        it is cached per value, and the arrays are returned read-only
+        because every caller shares them.
         """
         rng = np.random.default_rng(self.seed)
         centres = rng.uniform(0.0, 1.0, size=(self.bumps, dims))
@@ -215,6 +221,8 @@ class Idiosyncrasy:
         for bump in range(self.bumps):
             chosen = rng.choice(dims, size=active, replace=False)
             masks[bump, chosen] = 1.0
+        for array in (centres, signs, masks):
+            array.flags.writeable = False
         return centres, signs, masks
 
     def factor(self, unit_features: np.ndarray) -> np.ndarray:

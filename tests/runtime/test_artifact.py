@@ -44,6 +44,32 @@ class TestRoundTrip:
         write_archive(tmp_path / "a.npz", payload, format_version=1)
         assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
 
+    def test_bytes_equal_a_direct_savez_compressed(self, tmp_path, payload):
+        """Building the archive in memory changes no byte of it:
+        registry, pool and dataset files stay what they were."""
+        path = write_archive(tmp_path / "a.npz", payload, format_version=2)
+        direct = tmp_path / "direct.npz"
+        np.savez_compressed(
+            direct,
+            format_version=np.array(2),
+            checksum=np.array(payload_checksum(payload)),
+            **payload,
+        )
+        assert path.read_bytes() == direct.read_bytes()
+
+    def test_failed_write_leaves_no_scratch_file(
+        self, tmp_path, payload, monkeypatch
+    ):
+        import repro.runtime.artifact as artifact
+
+        def broken_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(artifact.os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk gone"):
+            write_archive(tmp_path / "a.npz", payload, format_version=1)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestChecksum:
     def test_stable_across_key_order(self, payload):

@@ -195,3 +195,27 @@ class TestProgramDifferences:
         assert not np.allclose(a, b)
         # But only by the idiosyncrasy amplitude.
         assert np.max(np.abs(a - b) / a) < 3 * base.idiosyncrasy_performance.amplitude
+
+
+class TestSuiteSharesConfigEnergy:
+    def test_consecutive_suites_match_fresh_batches(
+        self, spec_suite, mibench, configs
+    ):
+        """The program-independent energy terms are built per call: two
+        suites over *different* configurations on one simulator each
+        equal fresh per-profile batches bit for bit, so nothing from
+        the first call can leak into the second."""
+        shared = IntervalSimulator()
+        for profiles, sample in (
+            (list(spec_suite.profiles), list(configs[:90])),
+            (list(mibench.profiles), list(configs[300:341])),
+            (list(spec_suite.profiles)[:5], list(configs[500:503])),
+        ):
+            suite_results = shared.simulate_suite(profiles, sample)
+            for profile, result in zip(profiles, suite_results):
+                fresh = IntervalSimulator().simulate_batch(profile, sample)
+                for metric in Metric.all():
+                    assert (
+                        result.metric(metric).tobytes()
+                        == fresh.metric(metric).tobytes()
+                    ), (profile.name, metric)

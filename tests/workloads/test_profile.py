@@ -154,6 +154,21 @@ class TestIdiosyncrasy:
         x = np.random.default_rng(5).random((100, 13))
         assert idio.factor(x).std() > 1e-3
 
+    def test_cached_bump_parameters_are_read_only_and_exact(self):
+        idio = Idiosyncrasy(amplitude=0.1, seed=42, bumps=5)
+        cached = idio._bump_parameters(13)
+        assert idio._bump_parameters(13) is cached
+        drawn = Idiosyncrasy._bump_parameters.__wrapped__(idio, 13)
+        for mine, fresh in zip(cached, drawn):
+            assert not mine.flags.writeable
+            assert mine.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                mine[0] = 0.0
+        # Equal values share the cache; the factor is unchanged by it.
+        twin = Idiosyncrasy(amplitude=0.1, seed=42, bumps=5)
+        x = np.random.default_rng(6).random((20, 13))
+        assert twin.factor(x).tobytes() == idio.factor(x).tobytes()
+
 
 class TestStableSeed:
     def test_deterministic(self):
